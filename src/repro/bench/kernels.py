@@ -12,7 +12,9 @@ so the output JSON can be diffed or gated with
 
 Backend behavior: every entry records the active fused backend
 (``native``/``numpy``). ``kernel_merge_pairs`` and ``kernel_sort_fused``
-measure the real code path of whichever backend is live;
+measure the real code path of whichever backend is live (on numpy,
+``kernel_merge_pairs`` is the values-only stable row sort of sampled
+rounds);
 ``kernel_block_scoring``/``kernel_global_scoring`` call the compiled
 round scorers directly and are skipped (not emitted) when the extension
 is unavailable — a missing row is visible in the JSON rather than a
@@ -64,12 +66,9 @@ def _merge_entry(mat: np.ndarray, run: int, repeat: int) -> dict:
             lambda: fused_kernels.merge_pairs(mat, run, out), repeat
         )
     else:
-
-        def argsort_merge():
-            order = np.argsort(mat, axis=1, kind="stable")
-            return np.take_along_axis(mat, order, axis=1)
-
-        entry = _measure(argsort_merge, repeat)
+        # The numpy sorter merges sampled rounds' values with a stable row
+        # sort and builds order arrays only for the tiles it scores.
+        entry = _measure(lambda: np.sort(mat, axis=1, kind="stable"), repeat)
     entry.update(rows=int(mat.shape[0]), run=int(run))
     return entry
 

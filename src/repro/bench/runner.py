@@ -5,9 +5,12 @@ sweeps reach ~2.9·10⁸. The runner therefore has two paths:
 
 * ``N ≤ exact_threshold`` — build the input, run the instrumented sort
   (with block sampling), fold counters through the timing model;
-* ``N > exact_threshold`` — run one *calibration* sort at the threshold
-  size and synthesize the large-``N`` cost from measured per-round,
-  per-element rates. This is sound because the instrumentation rates are
+* ``N > exact_threshold`` — take the rates of one *calibration* sort at
+  the largest exact size and synthesize the large-``N`` cost from
+  measured per-round, per-element rates. The calibration sort runs once
+  per input: when a sweep's exact point already sorted at that size, its
+  result supplies the rates (and, with a disk cache, the stored rates
+  entry). This is sound because the instrumentation rates are
   ``N``-independent: the base case is a fixed per-element cost; global
   rounds have statistically identical per-element conflict rates (exactly
   identical for the periodic constructed inputs); and round counts /
@@ -235,6 +238,11 @@ class SweepRunner:
             )
         return sizes[-1]
 
+    def _is_calibration_size(self, n: int) -> bool:
+        """Whether ``n`` is the calibration size (without raising)."""
+        sizes = self.config.valid_sizes(self.exact_threshold)
+        return len(sizes) >= 2 and n == sizes[-1]
+
     # -- the two paths -------------------------------------------------------
 
     def run_point(self, input_name: str, num_elements: int) -> BenchPoint:
@@ -339,6 +347,14 @@ class SweepRunner:
 
     def _exact_point(self, input_name: str, n: int) -> BenchPoint:
         result = self._instrumented_sort(input_name, n)
+        if input_name not in self._calibrations and self._is_calibration_size(n):
+            # This sort is the calibration sort (same input, size, seed
+            # and scoring): keep its rates so _calibrate never re-runs it,
+            # and persist them so a warm cache serves synthesized sizes.
+            rates = CalibratedRates.from_result(result)
+            self._calibrations[input_name] = rates
+            if self.cache is not None:
+                self.cache.put_rates(self._rates_key(input_name, n), rates)
         cost = result.kernel_cost(self.warps_per_sm)
         return self._to_point(input_name, n, cost, result.replays_per_element())
 
@@ -353,17 +369,7 @@ class SweepRunner:
         n_cal = self._calibration_size()
         key = rates = None
         if self.cache is not None:
-            key = bench_cache.rates_key(
-                self.config,
-                padding=self.padding,
-                input_name=input_name,
-                calibration_size=n_cal,
-                score_blocks=self.score_blocks,
-                seed=self.seed,
-                mitigation=(
-                    None if self.mitigation == "none" else self.mitigation
-                ),
-            )
+            key = self._rates_key(input_name, n_cal)
             rates = self.cache.get_rates(key)
         if rates is None:
             rates = CalibratedRates.from_result(
@@ -373,6 +379,18 @@ class SweepRunner:
                 self.cache.put_rates(key, rates)
         self._calibrations[input_name] = rates
         return rates
+
+    def _rates_key(self, input_name: str, n_cal: int) -> dict:
+        """Disk-cache fingerprint of one input's calibration rates."""
+        return bench_cache.rates_key(
+            self.config,
+            padding=self.padding,
+            input_name=input_name,
+            calibration_size=n_cal,
+            score_blocks=self.score_blocks,
+            seed=self.seed,
+            mitigation=None if self.mitigation == "none" else self.mitigation,
+        )
 
     def _synthesize_cost(
         self, n: int, rates: CalibratedRates

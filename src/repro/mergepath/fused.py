@@ -17,9 +17,13 @@ proportional to the round size. The fused layer collapses them:
   :class:`~repro.dmm.conflicts.ConflictReport` needs. No order array, no
   address matrices, no traces.
 * **numpy fallback** (extension absent or ``REPRO_FORCE_NUMPY=1``): the
-  sorter keeps the argsort merge and reuses its probe helpers, but counts
-  through :func:`repro.dmm.fused.permutation_stage_report` /
-  :func:`repro.dmm.fused.dense_report` instead of building traces.
+  sorter reuses its probe helpers but counts through
+  :func:`repro.dmm.fused.permutation_stage_report` /
+  :func:`repro.dmm.fused.dense_report` instead of building traces. Rounds
+  that sample blocks merge values only (a stable row sort) and rebuild
+  the order of the scored tiles alone, global blocks from merge-path
+  window splits, the same design as the native scorers; rounds that
+  score every tile keep the argsort merge.
 
 Both backends are bit-identical to the ``scoring="loop"`` oracle
 (``tests/sort/test_fused_equivalence.py``).

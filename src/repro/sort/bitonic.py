@@ -37,7 +37,11 @@ from repro.mergepath.kernels import stack_warp_steps
 from repro.mitigation.registry import reconcile_mitigation
 from repro.sort.pairwise import RoundStats, SortResult
 from repro.utils.bits import ilog2, is_power_of_two
-from repro.utils.validation import check_positive_int, check_power_of_two
+from repro.utils.validation import (
+    check_orderable_keys,
+    check_positive_int,
+    check_power_of_two,
+)
 
 __all__ = ["BitonicSort"]
 
@@ -96,7 +100,7 @@ class BitonicSort:
 
     def sort(self, values: np.ndarray) -> SortResult:
         """Sort ``values``, recording instrumentation per exchange step."""
-        arr = np.ascontiguousarray(values).copy()
+        arr = check_orderable_keys(np.ascontiguousarray(values)).copy()
         n = self.validate_input_size(arr.size)
         result = SortResult(
             values=arr,

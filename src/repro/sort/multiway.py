@@ -43,7 +43,7 @@ from repro.sort.config import SortConfig
 from repro.sort.pairwise import PairwiseMergeSort, RoundStats, SortResult
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_power_of_two
+from repro.utils.validation import check_orderable_keys, check_power_of_two
 
 __all__ = ["MultiwaySort"]
 
@@ -105,7 +105,7 @@ class MultiwaySort:
     ) -> SortResult:
         """Sort ``values`` with full instrumentation."""
         cfg = self.config
-        arr = np.ascontiguousarray(values)
+        arr = check_orderable_keys(np.ascontiguousarray(values))
         n = cfg.validate_input_size(arr.size)
         rng = as_generator(seed)
 

@@ -10,7 +10,8 @@ co-prime padding observation the paper cites). The simulator captures that
 for free by tracing the load/store phases in :mod:`repro.sort.pairwise`.
 
 The network is applied vectorized: one ``(num_threads, E)`` matrix, each
-comparator a columnwise min/max exchange.
+comparator a columnwise exchange of strictly out-of-order pairs, so the
+output is a stable permutation of each row.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ def apply_oddeven_network(values: np.ndarray) -> tuple[np.ndarray, int]:
     out = values.copy()
     comparators = oddeven_network(out.shape[1]) if out.shape[1] > 1 else ()
     for i, j in comparators:
-        lo = np.minimum(out[:, i], out[:, j])
-        hi = np.maximum(out[:, i], out[:, j])
-        out[:, i] = lo
-        out[:, j] = hi
+        # Exchange only strictly out-of-order wires. min/max would not be
+        # a permutation on float keys (min(0.0, -0.0) and max(0.0, -0.0)
+        # are both -0.0), and a strict swap keeps the network stable.
+        lo, hi = out[:, i], out[:, j]
+        swap = lo > hi
+        out[:, i], out[:, j] = np.where(swap, hi, lo), np.where(swap, lo, hi)
     return out, len(comparators) * out.shape[0]

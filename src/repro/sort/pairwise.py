@@ -23,7 +23,9 @@ Implementation notes (why this is fast enough to sweep):
 * A merge round is computed for *all* pairs at once with one stable
   row-wise ``argsort`` — for two sorted halves this reproduces the stable
   (A-first) merge exactly, and the resulting ``order`` array doubles as the
-  per-rank shared-memory address map (DESIGN.md §5).
+  per-rank shared-memory address map (DESIGN.md §5). Sampled fused rounds
+  skip that array: they merge values with a stable row sort and rebuild
+  the address map of the scored tiles only (DESIGN.md §12).
 * Conflict scoring is warp-additive, so all scored blocks of a round are
   folded into a single stacked trace (`stack_warp_steps`) and scored with
   one ``bincount`` pass.
@@ -54,11 +56,12 @@ from repro.mergepath.kernels import (
     stack_warp_steps,
     thread_rank_addresses,
 )
-from repro.mergepath.partition import partition_many_with_trace
+from repro.mergepath.partition import merge_path_search, partition_many_with_trace
 from repro.sort.config import SortConfig
 from repro.sort.networks import apply_oddeven_network
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
+from repro.utils.validation import check_orderable_keys
 
 __all__ = ["PairwiseMergeSort", "RoundStats", "SortResult"]
 
@@ -312,6 +315,14 @@ class PairwiseMergeSort:
                 f"memo must be a ConflictMemo, None, or 'auto', got {memo!r}"
             )
 
+    def _native_round(self, arr: np.ndarray) -> bool:
+        """Whether a merge round over ``arr`` runs in the compiled kernels."""
+        return (
+            self.scoring == "fused"
+            and self.mitigation.native_padding is not None
+            and fused_kernels.native_round_ready(arr)
+        )
+
     def _physical(self, step_matrix: np.ndarray) -> np.ndarray:
         """Logical tile addresses → physical addresses under the layout.
 
@@ -337,7 +348,8 @@ class PairwiseMergeSort:
         Parameters
         ----------
         values:
-            Input keys; length must be ``bE × 2^k``.
+            Input keys; length must be ``bE × 2^k``. NaN keys raise
+            :class:`~repro.errors.ValidationError` (they have no order).
         score_blocks:
             If given, trace at most this many tiles/blocks per round
             (deterministically spread via ``seed``); ``None`` traces all.
@@ -345,7 +357,7 @@ class PairwiseMergeSort:
             Seed for the sampled-block selection.
         """
         cfg = self.config
-        arr = np.ascontiguousarray(values)
+        arr = check_orderable_keys(np.ascontiguousarray(values))
         n = cfg.validate_input_size(arr.size)
         if self.scoring == "analytic":
             # Closed-form path: recognize the input as a constructed family
@@ -397,11 +409,14 @@ class PairwiseMergeSort:
         n = arr.size
         tiles = n // cfg.tile_size
 
-        if self.scoring == "fused":
+        if self.scoring == "fused" and arr.dtype.kind in "biu":
             # The network sorts each row and its comparator count is
             # input-independent (comparators × rows), so the fused path
             # takes a plain row sort — bit-identical values, same
             # instruction counter, none of the per-comparator numpy passes.
+            # Only integer keys qualify: equal float keys can differ in
+            # bits (0.0 vs -0.0), and the row sort orders them differently
+            # from the stable network.
             from repro.sort.networks import oddeven_network
 
             sorted_rows = np.sort(arr.reshape(-1, cfg.E), axis=1)
@@ -465,11 +480,7 @@ class PairwiseMergeSort:
 
         mat = arr.reshape(num_pairs, pair_width)
         used_scratch = False
-        if (
-            self.scoring == "fused"
-            and self.mitigation.native_padding is not None
-            and fused_kernels.native_round_ready(arr)
-        ):
+        if self._native_round(arr):
             # Native fused rounds never materialize the order array: the
             # merge is a row-wise two-pointer pass and the scorers
             # reconstruct each scored tile's interleaving locally.
@@ -480,6 +491,19 @@ class PairwiseMergeSort:
             )
             order = None
             used_scratch = True
+        elif (
+            self.scoring == "fused"
+            and score_blocks is not None
+            and score_blocks < n // cfg.tile_size
+        ):
+            # A sampled numpy fused round merges values only (a stable row
+            # sort, bit-identical to the argsort merge); the scorers rebuild
+            # the order of just the scored tiles (order=None, see
+            # _block_reports_fused / _global_reports_fused). Rounds that
+            # score every tile need the whole order and take the branch
+            # below.
+            merged = np.sort(mat, axis=1, kind="stable")
+            order = None
         else:
             # Stable argsort of [A | B] rows == stable (A-first) merge:
             # equal keys keep index order, and A occupies the lower indices.
@@ -637,20 +661,28 @@ class PairwiseMergeSort:
     ) -> tuple[ConflictReport, ConflictReport]:
         """Single-pass block-round scoring with no trace intermediates.
 
-        ``order is None`` marks a native round (the merge already ran in
-        the compiled backend, which also rebuilds each scored tile's
-        interleaving itself); otherwise the numpy fused path reuses the
-        vectorized address algebra but counts straight to report
-        aggregates.
+        ``order is None`` marks a round merged without an order array:
+        either a native round (the compiled backend rebuilds each scored
+        tile's interleaving itself) or a sampled numpy round, whose scored
+        tiles get their order from a stable argsort of their own pair
+        rows. The numpy fused path reuses the vectorized address algebra
+        but counts straight to report aggregates.
         """
         cfg = self.config
-        if order is None:
-            return fused_kernels.fused_block_reports(
-                flat_pre, scored, run, cfg.E, cfg.b, cfg.w, self.padding
-            )
         pair_width = 2 * run
+        if order is None:
+            if self._native_round(flat_pre):
+                return fused_kernels.fused_block_reports(
+                    flat_pre, scored, run, cfg.E, cfg.b, cfg.w, self.padding
+                )
+            order_tiles = np.argsort(
+                flat_pre.reshape(-1, pairs_per_tile, pair_width)[scored],
+                axis=2,
+                kind="stable",
+            )
+        else:
+            order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
         num_scored = scored.size
-        order_tiles = order.reshape(-1, pairs_per_tile, pair_width)[scored]
         pair_bases = np.arange(pairs_per_tile, dtype=np.int64)[:, None] * pair_width
         addr_by_rank = (order_tiles + pair_bases).reshape(num_scored, cfg.tile_size)
         merge_report = self._fused_merge_report(addr_by_rank)
@@ -915,6 +947,46 @@ class PairwiseMergeSort:
         )
         return local, pairs, a_lo, b_lo, na
 
+    def _global_windows(
+        self,
+        mat: np.ndarray,
+        run: int,
+        scored: np.ndarray,
+        blocks_per_pair: int,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`_global_patterns` for the scored blocks alone, order-free.
+
+        A merge-path search (A-first ties, as Thrust) splits each block's
+        first and one-past-last output rank between A and B. The block
+        merges exactly ``A[a_lo:a_hi]`` and ``B[b_lo:b_hi]``, so a stable
+        argsort of that gathered ``[A window | B window]`` row *is* its
+        tile-local address map: O(log run + bE log bE) per scored block
+        instead of an O(n) order array per round.
+        """
+        cfg = self.config
+        tile = cfg.tile_size
+        pair_width = mat.shape[1]
+        pairs = scored // blocks_per_pair
+        r_lo = (scored % blocks_per_pair) * tile
+        a_lo = np.empty(scored.size, dtype=np.int64)
+        a_hi = np.empty(scored.size, dtype=np.int64)
+        for i, (pair, rank) in enumerate(zip(pairs.tolist(), r_lo.tolist())):
+            a, b = mat[pair, :run], mat[pair, run:]
+            a_lo[i] = merge_path_search(a, b, rank)[0]
+            a_hi[i] = merge_path_search(a, b, rank + tile)[0]
+        na = a_hi - a_lo
+        b_lo = r_lo - a_lo
+        cols = np.arange(tile, dtype=np.int64)
+        a_start = pairs * pair_width + a_lo
+        # B's window follows A's in the tile, so column c >= na reads
+        # B[b_lo + c - na].
+        b_start = pairs * pair_width + run + b_lo - na
+        src = np.where(
+            cols < na[:, None], a_start[:, None] + cols, b_start[:, None] + cols
+        )
+        local = np.argsort(mat.reshape(-1)[src], axis=1, kind="stable")
+        return local, pairs, a_lo, b_lo, na
+
     def _global_partition_probes(
         self,
         mat: np.ndarray,
@@ -962,19 +1034,25 @@ class PairwiseMergeSort:
         """Single-pass global-round scoring with no trace intermediates.
 
         Same contract as :meth:`_block_reports_fused`: ``order is None``
-        routes to the compiled backend (which derives each scored block's
-        A/B window split by merge-path binary search instead of reading
-        the order array), otherwise the numpy fused path counts the
-        vectorized patterns directly.
+        routes a native round to the compiled backend (which derives each
+        scored block's A/B window split by merge-path binary search
+        instead of reading the order array) and a sampled numpy round to
+        :meth:`_global_windows`, the same design in numpy; otherwise the
+        numpy fused path counts the vectorized patterns directly.
         """
         cfg = self.config
         if order is None:
-            return fused_kernels.fused_global_reports(
-                mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
+            if self._native_round(mat.reshape(-1)):
+                return fused_kernels.fused_global_reports(
+                    mat.reshape(-1), scored, run, cfg.E, cfg.b, cfg.w, self.padding
+                )
+            local, pairs, a_lo, b_lo, na = self._global_windows(
+                mat, run, scored, blocks_per_pair
             )
-        local, pairs, a_lo, b_lo, na = self._global_patterns(
-            mat, order, run, scored, blocks_per_pair
-        )
+        else:
+            local, pairs, a_lo, b_lo, na = self._global_patterns(
+                mat, order, run, scored, blocks_per_pair
+            )
         merge_report = self._fused_merge_report(local)
         probe_steps = self._global_partition_probes(
             mat, run, pairs, a_lo, b_lo, na
@@ -1186,11 +1264,11 @@ def _choose_blocks(
 
     The RNG is consumed exactly when sampling happens (``score_blocks``
     given and strictly below ``total``) — never for validation or for
-    trace-everything rounds. Both scoring paths call this once per round
+    trace-everything rounds. Every scoring path calls this once per round
     with identical arguments, which keeps sampled-block selection (and
     therefore the parallel-vs-serial bit-identity guarantee of
-    :mod:`repro.bench.parallel`) stable across implementations; the draw
-    order is pinned by ``tests/sort/test_pairwise.py``.
+    :func:`repro.engine.execute_items`) stable across implementations; the
+    draw order is pinned by ``tests/sort/test_pairwise.py``.
     """
     if score_blocks is not None and score_blocks < 1:
         # Bad user input, not a simulator inconsistency — rejected before

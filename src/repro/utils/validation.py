@@ -18,6 +18,7 @@ __all__ = [
     "as_int",
     "check_in_range",
     "check_nonnegative_int",
+    "check_orderable_keys",
     "check_positive_int",
     "check_power_of_two",
 ]
@@ -69,3 +70,17 @@ def check_in_range(value: Any, name: str, low: int, high: int) -> int:
     if not low <= ivalue <= high:
         raise ValidationError(f"{name} must be in [{low}, {high}], got {ivalue}")
     return ivalue
+
+
+def check_orderable_keys(values: np.ndarray, name: str = "values") -> np.ndarray:
+    """Reject NaN keys and return ``values`` unchanged.
+
+    A comparison sort has no order for NaN: every comparison with it is
+    false, so the simulated kernels would neither sort it nor agree with
+    each other on where it lands.
+    """
+    if values.dtype.kind in "fc" and np.isnan(values).any():
+        raise ValidationError(
+            f"{name} contains NaN; a comparison sort has no order for NaN keys"
+        )
+    return values

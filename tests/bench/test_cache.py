@@ -263,11 +263,12 @@ class TestBenchPointSerialization:
 
 
 class TestPrune:
-    def fill(self, tmp_path, sizes=(2, 4, 8)):
+    def fill(self, tmp_path, sizes=(1, 2, 4)):
         """Distinct entries with strictly increasing mtimes (oldest first).
 
-        All sizes stay at or below the exact threshold so no calibration
-        rates entry appears alongside the point entries.
+        All sizes stay below the calibration size (the largest exact
+        size, whose point also stores the input's calibration rates), so
+        no rates entry appears alongside the point entries.
         """
         runner = runner_with_cache(tmp_path)
         cache = runner.cache

@@ -3,6 +3,7 @@ large-N path agrees with exact simulation where both are available."""
 
 import pytest
 
+from repro.bench.cache import BenchCache
 from repro.bench.runner import CalibratedRates, SweepRunner
 from repro.errors import ValidationError
 from repro.gpu.device import QUADRO_M4000
@@ -70,6 +71,57 @@ class TestSynthesizedPath:
         cal = runner._calibrations["random"]
         runner.run_point("random", n * 2)
         assert runner._calibrations["random"] is cal
+
+
+class TestCalibrationReuse:
+    """The exact point at the calibration size is the calibration sort, so
+    a sweep that crosses exact_threshold sorts each exact size once."""
+
+    TILE = small_runner().config.tile_size
+    THRESHOLD = TILE * 8
+    SIZES = [TILE * 2, TILE * 4, TILE * 8, TILE * 16, TILE * 32]
+
+    def runner(self, **kwargs):
+        return small_runner(exact_threshold=self.THRESHOLD, **kwargs)
+
+    @staticmethod
+    def record_sorts(runner, monkeypatch) -> list[int]:
+        """Sizes of the instrumented sorts ``runner`` runs from now on."""
+        sizes = []
+        sort = runner._instrumented_sort
+
+        def recorded(input_name, n):
+            sizes.append(n)
+            return sort(input_name, n)
+
+        monkeypatch.setattr(runner, "_instrumented_sort", recorded)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "input_name,routed", [("random", "fused"), ("worst-case", "analytic")]
+    )
+    def test_one_sort_per_exact_size(self, input_name, routed, monkeypatch):
+        runner = self.runner()
+        assert runner._resolved_scoring(input_name, self.THRESHOLD) == routed
+        sorted_sizes = self.record_sorts(runner, monkeypatch)
+        runner.sweep(input_name, self.SIZES)
+        assert sorted_sizes == [n for n in self.SIZES if n <= self.THRESHOLD]
+
+    @pytest.mark.parametrize("input_name", ["random", "worst-case"])
+    def test_points_match_calibrating_first(self, input_name):
+        reference = self.runner()
+        reference._calibrate(input_name)
+        assert self.runner().sweep(input_name, self.SIZES) == reference.sweep(
+            input_name, self.SIZES
+        )
+
+    def test_cold_sweep_writes_rates_entry(self, tmp_path):
+        cold = self.runner(cache=BenchCache(tmp_path))
+        cold.sweep("random", self.SIZES)
+        assert cold.instrumented_sorts == 3
+        warm = self.runner(cache=BenchCache(tmp_path))
+        warm.run_point("random", self.TILE * 64)
+        assert warm.instrumented_sorts == 0
 
 
 class TestComputeTermContinuity:

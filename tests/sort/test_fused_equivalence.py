@@ -13,11 +13,17 @@ other* in one process.
 Matrix: four constructed families × padding on/off × full vs sampled
 scoring × three shape regimes, including ``b == w`` (a single warp per
 block — the partial-warp-table edge where warp-step trimming has no
-interior warps to hide behind) and a non-power-of-two ``E``.
+interior warps to hide behind) and a non-power-of-two ``E``. A Hypothesis
+property then draws the shape, tile count, sampling, mitigation backend
+and keys (duplicate-heavy integers, permutations, signed-zero floats) at
+random, which drives the sampled rounds' order-free merge through split
+points inside runs of equal keys.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dmm import fused as dmm_fused
 from repro.inputs.generators import generate
@@ -150,3 +156,62 @@ class TestBackendToggle:
         data = generate("random", cfg, n, seed=5)
         result = PairwiseMergeSort(cfg, scoring="fused").sort(data)
         np.testing.assert_array_equal(result.values, np.sort(data))
+
+
+#: Key kinds for the property test: few distinct values (merge-path splits
+#: land inside runs of equal keys that span A and B), distinct keys, and
+#: floats whose equal keys differ in bits (0.0 vs -0.0).
+KEY_KINDS = ("duplicates", "permutation", "signed-zero-floats")
+MITIGATIONS = ("none", "padding:1", "padding:3", "cfree-sort", "cfree-permute")
+
+
+def draw_keys(kind: str, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "duplicates":
+        return rng.integers(0, 4, size=n)
+    if kind == "permutation":
+        return rng.permutation(n)
+    return rng.choice(np.array([-0.0, 0.0, -1.5, 1.5, 2.0]), size=n)
+
+
+@st.composite
+def fused_cases(draw):
+    warp = draw(st.sampled_from([2, 4, 8]))
+    cfg = SortConfig(
+        elements_per_thread=draw(st.integers(1, 6)),
+        block_size=warp * draw(st.sampled_from([1, 2, 4])),
+        warp_size=warp,
+    )
+    tiles = draw(st.sampled_from([1, 2, 4, 8]))
+    # Below the tile count every round samples (the order-free numpy
+    # merge); None scores every tile (the argsort merge).
+    score_blocks = draw(
+        st.none() | st.integers(1, tiles - 1) if tiles > 1 else st.none()
+    )
+    return (
+        cfg,
+        tiles,
+        score_blocks,
+        draw(st.sampled_from(MITIGATIONS)),
+        draw(st.sampled_from(KEY_KINDS)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestFusedMatchesLoopProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(fused_cases())
+    def test_random_configurations(self, case):
+        cfg, tiles, score_blocks, mitigation, kind, seed = case
+        data = draw_keys(kind, cfg.tile_size * tiles, seed)
+        fused = PairwiseMergeSort(
+            cfg, scoring="fused", mitigation=mitigation
+        ).sort(data, score_blocks=score_blocks, seed=seed)
+        loop = PairwiseMergeSort(cfg, scoring="loop", mitigation=mitigation).sort(
+            data, score_blocks=score_blocks, seed=seed
+        )
+        # Bytes, not ==: 0.0 == -0.0, but the outputs must agree bit for
+        # bit. Every stage is stable, so both equal numpy's stable sort.
+        assert fused.values.tobytes() == loop.values.tobytes()
+        assert loop.values.tobytes() == np.sort(data, kind="stable").tobytes()
+        assert_results_identical(fused, loop)

@@ -50,6 +50,17 @@ class TestApply:
         apply_oddeven_network(rows)
         assert rows.tolist() == [[3, 1, 2]]
 
+    def test_float_keys_permuted_not_lost(self):
+        """min/max compare-exchange turned [0.0, -0.0] into [-0.0, -0.0];
+        the strict swap keeps every key's bits and their order on ties."""
+        rows = np.array([[0.0, -0.0], [-0.0, 0.0], [2.0, -0.0]])
+        out, _ = apply_oddeven_network(rows)
+        assert out.tobytes() == np.sort(rows, axis=1, kind="stable").tobytes()
+
+    def test_nan_keys_not_duplicated(self):
+        out, _ = apply_oddeven_network(np.array([[np.nan, 1.0]]))
+        assert np.isnan(out).sum() == 1 and 1.0 in out
+
     def test_rejects_1d(self):
         with pytest.raises(ValidationError):
             apply_oddeven_network(np.arange(5))

@@ -78,6 +78,38 @@ class TestSortCorrectness:
         assert np.array_equal(result.values, np.sort(values))
 
 
+class TestKeyValidation:
+    """NaN has no place in a comparison order, so every sorter rejects it
+    up front instead of returning different contents per path."""
+
+    @pytest.mark.parametrize("scoring", ["vectorized", "loop", "fused", "analytic"])
+    def test_pairwise_rejects_nan(self, tiny_config, scoring):
+        data = np.arange(tiny_config.tile_size * 2, dtype=np.float64)
+        data[5] = np.nan
+        with pytest.raises(ValidationError, match="NaN"):
+            PairwiseMergeSort(tiny_config, scoring=scoring).sort(data)
+
+    def test_bitonic_and_multiway_reject_nan(self, tiny_config):
+        from repro.sort.bitonic import BitonicSort
+        from repro.sort.multiway import MultiwaySort
+
+        for sorter, n in (
+            (BitonicSort(block_size=8, warp_size=4), 64),
+            (MultiwaySort(tiny_config), tiny_config.tile_size * 4),
+        ):
+            data = np.arange(n, dtype=np.float64)
+            sorter.sort(data)  # a valid size: only the NaN below is wrong
+            data[-1] = np.nan
+            with pytest.raises(ValidationError, match="NaN"):
+                sorter.sort(data)
+
+    @pytest.mark.parametrize("scoring", ["vectorized", "loop", "fused"])
+    def test_signed_zeros_sorted_stably(self, tiny_config, scoring):
+        data = np.tile([0.0, -0.0, -1.0, 1.0], tiny_config.tile_size)
+        result = PairwiseMergeSort(tiny_config, scoring=scoring).sort(data)
+        assert result.values.tobytes() == np.sort(data, kind="stable").tobytes()
+
+
 class TestRoundStructure:
     def test_round_labels_and_counts(self, small_config, rng):
         n = small_config.tile_size * 4
