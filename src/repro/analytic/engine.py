@@ -58,7 +58,7 @@ from repro.sort.networks import oddeven_network
 from repro.sort.pairwise import RoundStats, SortResult
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_nonnegative_int
+from repro.utils.validation import check_nonnegative_int, check_positive_int
 
 __all__ = ["AnalyticEngine"]
 
@@ -385,8 +385,8 @@ def _select_blocks(
     the draw is bit-identical to the simulator's, which keeps sampled
     analytic results matching the traced ones draw for draw.
     """
-    if score_blocks is not None and score_blocks < 1:
-        raise ValidationError(f"score_blocks must be >= 1, got {score_blocks}")
+    if score_blocks is not None:
+        score_blocks = check_positive_int(score_blocks, "score_blocks")
     if score_blocks is None or score_blocks >= total:
         return total, None
     idx = np.sort(rng.choice(total, size=score_blocks, replace=False)).astype(

@@ -19,7 +19,9 @@ Model:
 * the partition stage is modeled as each thread rank-searching its start
   in all ``K`` source windows (``K·⌈log₂ run⌉`` probes, traced), and each
   block boundary doing the same in global memory (counted as scattered
-  traffic).
+  traffic). A round traces every scored block's searches as one batched
+  lock-step bisection over all (block, source, thread) lanes, the way
+  Merge Path's lane-parallel diagonal search is batched.
 
 The interesting adversarial question — measured in
 ``benchmarks/bench_baseline_multiway.py`` — is that the paper's
@@ -37,10 +39,22 @@ from repro.dmm.conflicts import ConflictReport, count_conflicts
 from repro.dmm.trace import NO_ACCESS, AccessTrace
 from repro.errors import ValidationError
 from repro.gpu.global_memory import CoalescingModel, GlobalTraffic
-from repro.mergepath.kernels import stack_warp_steps, thread_rank_addresses
+from repro.mergepath.kernels import (
+    batched_rank_addresses,
+    stack_group_warp_steps,
+    stack_warp_steps,
+)
+
+# Not called here; perfbench/layers.py wraps it by module lookup.
+from repro.mergepath.kernels import thread_rank_addresses  # noqa: F401
 from repro.mitigation.registry import reconcile_mitigation
 from repro.sort.config import SortConfig
-from repro.sort.pairwise import PairwiseMergeSort, RoundStats, SortResult
+from repro.sort.pairwise import (
+    PairwiseMergeSort,
+    RoundStats,
+    SortResult,
+    _choose_blocks,
+)
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_orderable_keys, check_power_of_two
@@ -82,6 +96,8 @@ class MultiwaySort:
         self.mitigation = reconcile_mitigation(mitigation)
         if k < 2:
             raise ValidationError(f"fan-in k must be >= 2, got {k}")
+        # The shared base case; its private ConflictMemo lasts across sorts.
+        self._pairwise = PairwiseMergeSort(config, mitigation=self.mitigation)
 
     def num_multiway_rounds(self, num_elements: int) -> int:
         """Global rounds: ``⌈log_K(N / bE)⌉``."""
@@ -112,7 +128,7 @@ class MultiwaySort:
         result = SortResult(values=arr, config=cfg, num_elements=n)
 
         # Base case: identical to the pairwise algorithm.
-        pairwise = PairwiseMergeSort(cfg, mitigation=self.mitigation)
+        pairwise = self._pairwise
         arr = pairwise._base_register_phase(arr, result)
         run = cfg.E
         while run < min(cfg.tile_size, n):
@@ -140,6 +156,7 @@ class MultiwaySort:
     ) -> np.ndarray:
         cfg = self.config
         n = arr.size
+        tile = cfg.tile_size
         group_width = fan * run
         num_groups = n // group_width
 
@@ -149,51 +166,63 @@ class MultiwaySort:
         order = np.argsort(mat, axis=1, kind="stable")
         merged = np.take_along_axis(mat, order, axis=1)
 
-        blocks_per_group = group_width // cfg.tile_size
+        blocks_per_group = group_width // tile
         blocks_total = num_groups * blocks_per_group
-        scored = _choose(blocks_total, score_blocks, rng)
+        scored = _choose_blocks(blocks_total, score_blocks, rng)
+        num_scored = scored.size
 
-        merge_rows = []
-        part_rows = []
-        for blk in scored:
-            group, x = divmod(int(blk), blocks_per_group)
-            r_lo = x * cfg.tile_size
-            r_hi = r_lo + cfg.tile_size
-            s = order[group, r_lo:r_hi]
-            src = s // run
+        # Every block's per-source window sizes (one bincount over all
+        # tiles) and window starts (exclusive prefix sums over each group's
+        # tiles): a block's window in source k begins after the ranks the
+        # group's earlier blocks took from k.
+        order_blocks = order.reshape(blocks_total, tile)
+        src_all = order_blocks // run
+        counts = np.bincount(
+            (np.arange(blocks_total)[:, None] * fan + src_all).ravel(),
+            minlength=blocks_total * fan,
+        ).reshape(num_groups, blocks_per_group, fan)
+        starts = (np.cumsum(counts, axis=1) - counts).reshape(blocks_total, fan)
+        sizes = counts.reshape(blocks_total, fan)[scored]
+        lo = starts[scored]
+        window_base = np.cumsum(sizes, axis=1) - sizes
 
-            # Source-window starts (exclusive prefix counts before r_lo) and
-            # the block's per-source window sizes.
-            prior = order[group, :r_lo] // run
-            lo = np.bincount(prior, minlength=fan)
-            sizes = np.bincount(src, minlength=fan)
-            window_base = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        # Merge stage: tile-local address of each output rank, all scored
+        # blocks at once (b is a warp multiple, so one stack equals the
+        # per-block stacks one after another).
+        s = order_blocks[scored]
+        src = src_all[scored]
+        local = (
+            np.take_along_axis(window_base, src, axis=1)
+            + s % run
+            - np.take_along_axis(lo, src, axis=1)
+        )
+        merge_dense = stack_warp_steps(
+            batched_rank_addresses(local, cfg.E), cfg.w
+        )
 
-            # Tile-local address of each output rank.
-            local = window_base[src] + (s % run) - lo[src]
-            merge_rows.append(
-                stack_warp_steps(
-                    thread_rank_addresses(local.astype(np.int64), cfg.E), cfg.w
-                )
-            )
+        # Partition stage: each thread rank-searches its first value in
+        # every source window — one bisection over all (block, source,
+        # thread) lanes, block-major, each (block, source) group trimmed of
+        # its trailing idle steps (empty windows contribute no steps).
+        targets = merged.reshape(blocks_total, tile)[scored, :: cfg.E]
+        group_base = (scored // blocks_per_group) * group_width
+        window_start = (
+            group_base[:, None] + np.arange(fan, dtype=np.int64) * run + lo
+        )
+        part_dense = stack_group_warp_steps(
+            _lane_rank_search(
+                arr,
+                value_targets=np.repeat(targets, fan, axis=0).ravel(),
+                base=np.repeat(window_start.ravel(), cfg.b),
+                length=np.repeat(sizes.ravel(), cfg.b),
+                trace_base=np.repeat(window_base.ravel(), cfg.b),
+            ),
+            num_scored * fan,
+            cfg.w,
+        )
 
-            # Partition stage: each thread rank-searches its first value in
-            # every source window (K bisections over the tile).
-            starts = np.arange(cfg.b, dtype=np.int64) * cfg.E
-            targets = merged[group, r_lo + starts]
-            for k_src in range(fan):
-                steps = _rank_search_steps(
-                    mat[group],
-                    value_targets=targets,
-                    base=k_src * run + lo[k_src],
-                    length=int(sizes[k_src]),
-                    trace_base=int(window_base[k_src]),
-                )
-                if steps.size:
-                    part_rows.append(stack_warp_steps(steps, cfg.w))
-
-        merge_report = _score(merge_rows, cfg.w, self.mitigation)
-        part_report = _score(part_rows, cfg.w, self.mitigation)
+        merge_report = _score(merge_dense, cfg.w, self.mitigation)
+        part_report = _score(part_dense, cfg.w, self.mitigation)
 
         coalescing = CoalescingModel(cfg.w)
         coalescing.streamed_copy(n)
@@ -212,55 +241,53 @@ class MultiwaySort:
                 global_traffic=coalescing.reset(),
                 compute_instructions=(2 + fan) * n // cfg.w,
                 blocks_total=blocks_total,
-                blocks_scored=len(scored),
+                blocks_scored=num_scored,
             )
         )
         return merged.reshape(-1)
 
 
-def _rank_search_steps(
+def _lane_rank_search(
     flat: np.ndarray,
     value_targets: np.ndarray,
-    base: int,
-    length: int,
-    trace_base: int,
+    base: np.ndarray,
+    length: np.ndarray,
+    trace_base: np.ndarray,
 ) -> np.ndarray:
-    """Per-lane bisection for ``rank of target`` in one sorted window.
+    """Lock-step bisection of every lane for its target's rank.
 
-    Returns the dense ``(steps, lanes)`` probe-address matrix (tile-local
-    addresses, one probe per iteration per active lane).
+    Lane ``t`` searches the sorted window ``flat[base[t] : base[t] +
+    length[t]]`` for the count of entries ``< value_targets[t]``. Returns
+    the dense ``(steps, lanes)`` probe-address matrix: ``trace_base[t] +
+    mid`` while lane ``t`` is searching, ``NO_ACCESS`` once it has
+    converged. Late iterations touch only the still-searching lanes.
     """
-    lanes = value_targets.size
-    lo = np.zeros(lanes, dtype=np.int64)
-    hi = np.full(lanes, length, dtype=np.int64)
-    rows = []
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        row = np.full(lanes, NO_ACCESS, dtype=np.int64)
-        row[active] = trace_base + mid[active]
-        rows.append(row)
-        below = np.zeros(lanes, dtype=bool)
-        below[active] = flat[(base + mid)[active]] < value_targets[active]
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(active & ~below, mid, hi)
-    return np.vstack(rows) if rows else np.empty((0, lanes), dtype=np.int64)
-
-
-def _choose(total: int, score_blocks: int | None, rng) -> np.ndarray:
-    if score_blocks is None or score_blocks >= total:
-        return np.arange(total, dtype=np.int64)
-    return np.sort(rng.choice(total, size=score_blocks, replace=False)).astype(
-        np.int64
+    lo = np.zeros(value_targets.size, dtype=np.int64)
+    hi = length.astype(np.int64)
+    dense = np.full(
+        (int(length.max(initial=0)).bit_length(), lo.size),
+        NO_ACCESS,
+        dtype=np.int64,
     )
+    row = 0
+    idx = np.nonzero(lo < hi)[0]
+    while idx.size:
+        l = lo[idx]
+        h = hi[idx]
+        mid = (l + h) // 2
+        dense[row, idx] = trace_base[idx] + mid
+        row += 1
+        below = flat[base[idx] + mid] < value_targets[idx]
+        new_lo = np.where(below, mid + 1, l)
+        new_hi = np.where(below, h, mid)
+        lo[idx] = new_lo
+        hi[idx] = new_hi
+        idx = idx[new_lo < new_hi]
+    return dense[:row]
 
 
-def _score(rows: list, num_banks: int, mitigation=None) -> ConflictReport:
-    if not rows:
+def _score(dense: np.ndarray, num_banks: int, mitigation) -> ConflictReport:
+    if not dense.size:
         return ConflictReport.empty(num_banks)
-    dense = rows[0] if len(rows) == 1 else np.vstack(rows)
-    if mitigation is not None:
-        dense = mitigation.remap(dense, num_banks)
+    dense = mitigation.remap(dense, num_banks)
     return count_conflicts(AccessTrace.from_dense(dense), num_banks)

@@ -61,7 +61,7 @@ from repro.sort.config import SortConfig
 from repro.sort.networks import apply_oddeven_network
 from repro.utils.bits import ceil_log2
 from repro.utils.rng import as_generator
-from repro.utils.validation import check_orderable_keys
+from repro.utils.validation import check_orderable_keys, check_positive_int
 
 __all__ = ["PairwiseMergeSort", "RoundStats", "SortResult"]
 
@@ -1270,10 +1270,10 @@ def _choose_blocks(
     :func:`repro.engine.execute_items`) stable across implementations; the
     draw order is pinned by ``tests/sort/test_pairwise.py``.
     """
-    if score_blocks is not None and score_blocks < 1:
+    if score_blocks is not None:
         # Bad user input, not a simulator inconsistency — rejected before
         # any short-circuit so validation never depends on round geometry.
-        raise ValidationError(f"score_blocks must be >= 1, got {score_blocks}")
+        score_blocks = check_positive_int(score_blocks, "score_blocks")
     if score_blocks is None or score_blocks >= total:
         return np.arange(total, dtype=np.int64)
     return np.sort(rng.choice(total, size=score_blocks, replace=False)).astype(

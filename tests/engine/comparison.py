@@ -56,3 +56,14 @@ def assert_results_identical(rv, rl):
             sv.partition_report, sl.partition_report, sv.label
         )
         assert_reports_identical(sv.staging_report, sl.staging_report, sv.label)
+
+
+def assert_segments_identical(a, b):
+    """Every round's reports carry the same run-length step segments."""
+    for ra, rb in zip(a.rounds, b.rounds, strict=True):
+        for name in ("merge_report", "partition_report", "staging_report"):
+            sa = getattr(ra, name).step_segments
+            sb = getattr(rb, name).step_segments
+            assert [(p.tobytes(), k) for p, k in sa] == [
+                (p.tobytes(), k) for p, k in sb
+            ], (ra.label, name)

@@ -7,6 +7,10 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sort.bitonic import BitonicSort
+from tests.engine.comparison import (
+    assert_results_identical,
+    assert_segments_identical,
+)
 
 
 @pytest.fixture
@@ -57,6 +61,31 @@ class TestCorrectness:
     def test_rejects_small_block(self):
         with pytest.raises(ConfigurationError):
             BitonicSort(block_size=4, warp_size=8)
+
+
+class TestCaches:
+    @pytest.mark.parametrize(
+        "mitigation", ["none", "padding:1", "cfree-sort", "cfree-permute"]
+    )
+    def test_reused_sorter_matches_fresh(self, mitigation):
+        """The per-distance report cache is invisible: one sorter sorting
+        inputs of several sizes in turn equals a fresh sorter per input."""
+        rng = np.random.default_rng(7)
+        inputs = [
+            rng.permutation(256),
+            rng.integers(0, 3, size=64),
+            rng.choice(np.array([-0.0, 0.0, 1.5]), size=1024),
+            rng.permutation(256),
+        ]
+        reused = BitonicSort(block_size=8, warp_size=4, mitigation=mitigation)
+        for data in inputs:
+            got = reused.sort(data)
+            fresh = BitonicSort(
+                block_size=8, warp_size=4, mitigation=mitigation
+            ).sort(data)
+            assert got.values.tobytes() == fresh.values.tobytes()
+            assert_results_identical(got, fresh)
+            assert_segments_identical(got, fresh)
 
 
 class TestObliviousness:

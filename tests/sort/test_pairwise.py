@@ -244,6 +244,32 @@ class TestChooseBlocksDrawOrder:
         with pytest.raises(ValidationError):
             _choose_blocks(0, 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [2.5, True, "3"])
+    def test_non_integer_rejected_before_drawing(self, bad):
+        from repro.sort.pairwise import _choose_blocks
+
+        g = np.random.default_rng(0)
+        before = g.bit_generator.state
+        with pytest.raises(ValidationError):
+            _choose_blocks(8, bad, g)
+        assert g.bit_generator.state == before
+
+    @pytest.mark.parametrize("backend", ["pairwise", "multiway"])
+    def test_sorters_and_matrix_raise_typed_errors(self, small_config, backend):
+        from repro.bench.matrix import run_matrix
+        from repro.sort.multiway import MultiwaySort
+
+        sorter = (
+            PairwiseMergeSort(small_config)
+            if backend == "pairwise"
+            else MultiwaySort(small_config)
+        )
+        data = np.arange(small_config.tile_size * 4)
+        with pytest.raises(ValidationError):
+            sorter.sort(data, score_blocks=True)
+        with pytest.raises(ValidationError):
+            run_matrix(backends=(backend,), tiles=2, score_blocks=2.5)
+
     def test_sampling_draws_once_sorted(self):
         from repro.sort.pairwise import _choose_blocks
 
